@@ -2,7 +2,7 @@
 // paper's evaluation (§4) on the synthetic substrate, at working scale
 // with paper-scale cost projections. Each experiment prints the same
 // rows/series the paper reports and returns structured results for
-// tests. The per-experiment index in DESIGN.md maps figures to the
+// tests. The -experiment list in cmd/ffbench maps figures to the
 // functions here.
 package experiments
 

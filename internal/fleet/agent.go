@@ -375,12 +375,8 @@ func (a *Agent) handshake(conn net.Conn) error {
 	if err := transport.WriteRecord(conn, transport.KindHello, hello); err != nil {
 		return err
 	}
-	v, err := transport.ReadHeader(conn)
-	if err != nil {
+	if _, err := transport.ReadHeader(conn); err != nil {
 		return err
-	}
-	if v != transport.Version2 {
-		return fmt.Errorf("fleet: controller answered %w %d", transport.ErrVersion, v)
 	}
 	kind, body, err := transport.ReadRecord(conn)
 	if err != nil {
@@ -869,6 +865,12 @@ func (a *Agent) Close() error {
 	err := transport.WriteRecordDeadline(conn, transport.KindBye, struct{}{}, a.cfg.WriteTimeout)
 	a.wmu.Unlock()
 	cerr := conn.Close()
+	if errors.Is(cerr, net.ErrClosed) {
+		// The reader goroutine closes the connection as soon as the
+		// controller hangs up after the goodbye; losing that race is a
+		// clean shutdown, not an error.
+		cerr = nil
+	}
 	a.wg.Wait()
 	if stopErr != nil {
 		return stopErr
@@ -960,9 +962,17 @@ func (a *Agent) flushPending() error {
 			return nil
 		}
 		rec := a.pending[a.unsent]
-		a.pmu.Unlock()
+		// Record the send time before writing: the controller's ack
+		// can reach the reader goroutine before the write returns, and
+		// an entry stored after it would miss that RTT sample and
+		// inflate a later one.
 		t0 := time.Now()
+		a.sentAt[rec.Seq] = t0
+		a.pmu.Unlock()
 		if err := transport.WriteRecordDeadline(conn, transport.KindUpload, rec, a.cfg.WriteTimeout); err != nil {
+			a.pmu.Lock()
+			delete(a.sentAt, rec.Seq)
+			a.pmu.Unlock()
 			conn.Close()
 			return fmt.Errorf("fleet: send upload: %w", err)
 		}
@@ -972,7 +982,6 @@ func (a *Agent) flushPending() error {
 			o.Trace.Record(obs.StageUpload, a.uploadStreamID(rec.MCName), int64(rec.Start), t0, d)
 		}
 		a.pmu.Lock()
-		a.sentAt[rec.Seq] = t0
 		// Advance past what we just wrote by sequence number — a
 		// concurrent ack may have trimmed the buffer under us.
 		for a.unsent < len(a.pending) && a.pending[a.unsent].Seq <= rec.Seq {

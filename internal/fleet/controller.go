@@ -145,11 +145,11 @@ type nodeState struct {
 // thin router in front of one or more controller shards. The router
 // owns the listener, the consistent-hash ring, and the placement
 // epoch; each shard owns the session registry, exactly-once upload
-// ledger, deploy-generation intent, and datacenter stores for the
-// nodes hashed onto it. Connections are routed by the node name in
-// the hello; every datacenter API call (ListNodes, Deploy, Fetch)
-// resolves the owning shard the same way, so callers never see the
-// sharding except through ShardStats and NodeInfo.Shard.
+// ledgers, and deploy-generation intent for the nodes hashed onto it.
+// Connections are routed by the node name in the hello; every
+// datacenter API call (ListNodes, Deploy, Fetch) resolves the owning
+// shard the same way, so callers never see the sharding except
+// through ShardStats and NodeInfo.Shard.
 type Controller struct {
 	cfg ControllerConfig
 
@@ -164,7 +164,7 @@ type Controller struct {
 	ln     net.Listener
 	shards []*shard
 	ring   *ring
-	conns  map[net.Conn]struct{} // every open conn, incl. pre-hello and legacy
+	conns  map[net.Conn]struct{} // every open conn, incl. pre-hello
 	wg     sync.WaitGroup
 
 	// recovery holds the stats of the StateDir replay OpenController
@@ -259,15 +259,6 @@ func (c *Controller) placement(node string) (int, uint64) {
 	return c.ring.owner(node), c.epoch.Load()
 }
 
-// shardAt returns the shard at an index that is known to exist
-// (index 0 always does: the controller never has fewer than one
-// shard, and shrinks retire the highest indices first).
-func (c *Controller) shardAt(i int) *shard {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards[i]
-}
-
 // snapshotShards returns the current shard slice for iteration.
 func (c *Controller) snapshotShards() []*shard {
 	c.mu.Lock()
@@ -307,26 +298,34 @@ func (c *Controller) onNode(name string, create bool, f func(*shard, *nodeState)
 	}
 }
 
-// Datacenter returns a merged snapshot of every shard's aggregate
-// receiver: every deduplicated upload from every session (and legacy
-// v1 connection), keyed "node/stream/mc" (legacy uploads keep their
-// own naming). The snapshot is consistent per shard and safe to query
-// while sessions are live.
+// Datacenter returns a merged snapshot of every deduplicated upload
+// the fleet has accepted, derived from the node ledgers and keyed
+// "node/stream/mc" so two nodes running the same application don't
+// collide. The router lock is held across the shard walk, as Resize
+// holds it across its moves, so a node being re-homed appears exactly
+// once. The snapshot is consistent per shard and safe to query while
+// sessions are live.
 func (c *Controller) Datacenter() *core.Datacenter {
 	merged := core.NewDatacenter()
-	for _, sh := range c.snapshotShards() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for _, app := range sh.dc.KnownApplications() {
-			merged.ReceiveAll(sh.dc.Uploads(app))
+		for name, st := range sh.nodes {
+			for _, app := range st.dc.KnownApplications() {
+				for _, u := range st.dc.Uploads(app) {
+					u.MCName = name + "/" + u.MCName
+					merged.Receive(u)
+				}
+			}
 		}
 		sh.mu.Unlock()
 	}
 	return merged
 }
 
-// WithDatacenter runs f with a merged snapshot of the aggregate
-// receivers (see Datacenter). f must not call back into the
-// controller.
+// WithDatacenter runs f with the merged fleet-wide snapshot (see
+// Datacenter). f must not call back into the controller.
 func (c *Controller) WithDatacenter(f func(*core.Datacenter)) {
 	f(c.Datacenter())
 }
@@ -391,10 +390,10 @@ func (c *Controller) Serve(ln net.Listener) {
 }
 
 // Close stops the listener, tears down every open connection (live
-// sessions, legacy pipes, and half-finished handshakes alike), and
-// waits for their goroutines to drain. A durable controller then
-// writes a final snapshot per shard and closes the state store, so
-// the next open replays no wal at all.
+// sessions and half-finished handshakes alike), and waits for their
+// goroutines to drain. A durable controller then writes a final
+// snapshot per shard and closes the state store, so the next open
+// replays no wal at all.
 func (c *Controller) Close() error {
 	err := c.teardown()
 	for _, sh := range c.snapshotShards() {
@@ -447,31 +446,23 @@ func (c *Controller) teardown() error {
 	return err
 }
 
-// handleConn negotiates the protocol version and routes one
-// connection to its shard. The pre-hello reads are bounded by the
-// controller timeout: a peer that dials and stalls must not pin a
+// handleConn checks the protocol header and routes one connection to
+// its shard. Only protocol v2 is served: any other version (including
+// the retired one-way v1 pipe) ends the connection with an error
+// wrapping transport.ErrVersion. The pre-hello reads are bounded by
+// the controller timeout: a peer that dials and stalls must not pin a
 // goroutine and connection until controller shutdown.
 func (c *Controller) handleConn(conn net.Conn) error {
 	if err := conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout)); err != nil {
 		return err
 	}
-	v, err := transport.ReadHeader(conn)
-	if err != nil {
+	if _, err := transport.ReadHeader(conn); err != nil {
 		return err
 	}
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return err
 	}
-	switch v {
-	case transport.Version1:
-		// Legacy pipes carry no node identity to hash; they all park
-		// on shard 0, which always exists.
-		return c.shardAt(0).serveLegacy(conn)
-	case transport.Version2:
-		return c.routeSession(conn)
-	default:
-		return fmt.Errorf("fleet: %w %d", transport.ErrVersion, v)
-	}
+	return c.routeSession(conn)
 }
 
 // routeSession reads and validates the hello, resolves the owning
@@ -509,13 +500,13 @@ func (c *Controller) routeSession(conn net.Conn) error {
 // bumps first, so in-flight registrations and API calls that routed
 // under the old ring abort and retry instead of landing on a shard
 // that no longer owns their node. Moved nodes' state records
-// (ledger high-water mark, intent, lifecycle counters, datacenter)
+// (ledger and its high-water mark, intent, lifecycle counters)
 // transfer wholesale to their new owner, and their live sessions are
 // closed with a redirect — the edge reconnects and its resume hello
 // reconciles on the new shard exactly like any other reconnect.
-// Shrinking folds the retired shards' aggregate history (ledger
-// totals, datacenter, legacy counters) into shard 0, so fleet-global
-// sums are preserved.
+// Shrinking folds the retired shards' ledger totals into shard 0, so
+// fleet-global sums are preserved; the uploads themselves already
+// moved with their nodes.
 func (c *Controller) Resize(shards int) (moved int, err error) {
 	if shards < 1 {
 		return 0, fmt.Errorf("fleet: shard count %d, need at least 1", shards)
@@ -620,24 +611,18 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 
 	if shards < old {
 		// Retired shards no longer own nodes (the moves above emptied
-		// them), but their accepted-upload history must survive for
-		// fleet-global sums: fold it into shard 0.
+		// them, ledgers included), but their ledger totals must survive
+		// for fleet-global sums: fold them into shard 0.
 		base := c.shards[0]
 		for _, sh := range c.shards[shards:] {
 			sh.mu.Lock()
-			legacy, uploads, uploadBits := sh.legacy, sh.uploads, sh.uploadBits
-			var ups []core.Upload
-			for _, app := range sh.dc.KnownApplications() {
-				ups = append(ups, sh.dc.Uploads(app)...)
-			}
+			uploads, uploadBits := sh.uploads, sh.uploadBits
 			w := sh.wal
 			sh.wal = nil
 			sh.mu.Unlock()
 			base.mu.Lock()
-			base.legacy += legacy
 			base.uploads += uploads
 			base.uploadBits += uploadBits
-			base.dc.ReceiveAll(ups)
 			// On a durable controller the fold is a WAL record keyed by
 			// the retired store's identity — committed and synced before
 			// the retired directory is deleted, so a crash anywhere in
@@ -646,13 +631,7 @@ func (c *Controller) Resize(shards int) (moved int, err error) {
 			// key) never counts it twice.
 			durable := true
 			if w != nil && base.wal != nil {
-				fold := foldRec{
-					FromID: w.ID(),
-					Legacy: legacy, Uploads: uploads, UploadBits: uploadBits,
-				}
-				for _, u := range ups {
-					fold.DC = append(fold.DC, toUpSnap(u))
-				}
+				fold := foldRec{FromID: w.ID(), Uploads: uploads, UploadBits: uploadBits}
 				base.folded = append(base.folded, w.ID())
 				durable = base.persist(wrecFold, fold) && base.wal.Sync() == nil
 			}
@@ -921,17 +900,6 @@ func (c *Controller) Session(node string) (*Session, error) {
 		return nil, fmt.Errorf("fleet: no connected node %q", node)
 	}
 	return s, nil
-}
-
-// LegacyReceived returns the uploads accepted over v1 connections.
-func (c *Controller) LegacyReceived() int {
-	total := 0
-	for _, sh := range c.snapshotShards() {
-		sh.mu.Lock()
-		total += sh.legacy
-		sh.mu.Unlock()
-	}
-	return total
 }
 
 // Deploy ships serialized microclassifier bytes (a filter.(*MC).Save

@@ -2,7 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"net"
+	"os"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,10 +225,10 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("session received %d uploads, want %d", sess.Received(), len(want))
 	}
 
-	// Uploads are attributed to the session and match the baseline
+	// Uploads are attributed to the node and match the baseline
 	// exactly: same event IDs, frame ranges, and coded bit counts.
 	name := "cam0/fleet-mc"
-	got := sess.Datacenter().Uploads(name)
+	got := nodeUploads(t, ctrl, "edge-1", name)
 	wantSorted := dcBase.Uploads("fleet-mc")
 	if len(got) != len(wantSorted) {
 		t.Fatalf("got %d uploads, want %d", len(got), len(wantSorted))
@@ -235,10 +240,9 @@ func TestEndToEndOverTCP(t *testing.T) {
 			t.Fatalf("upload %d differs from baseline:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
-	// The aggregate datacenter saw them too, keyed by node so a
-	// second node running the same application cannot collide. (The
-	// aggregate write trails the per-session received count, so poll
-	// under the controller's lock.)
+	// The fleet-wide view derived from the node ledgers shows them
+	// too, keyed by node so a second node running the same application
+	// cannot collide.
 	aggBits := func() int64 {
 		var bits int64
 		ctrl.WithDatacenter(func(dc *core.Datacenter) { bits = dc.TotalBits("edge-1/" + name) })
@@ -346,7 +350,7 @@ func TestLiveDeployUndeployAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "drained uploads", func() bool { return sess.Received() > 0 })
-	ups := sess.Datacenter().Uploads("cam0/live")
+	ups := nodeUploads(t, ctrl, "edge-2", "cam0/live")
 	if len(ups) == 0 || !ups[len(ups)-1].Final {
 		t.Fatalf("undeploy did not drain a final upload: %+v", ups)
 	}
@@ -355,9 +359,11 @@ func TestLiveDeployUndeployAndErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyV1Compatibility checks the controller still serves
-// pre-fleet v1 upload pipes.
-func TestLegacyV1Compatibility(t *testing.T) {
+// TestV1HeaderRejected checks the controller refuses the retired
+// protocol-v1 one-way pipe at the handshake: the connection ends with
+// an error wrapping transport.ErrVersion, and no session, node record,
+// or upload is created.
+func TestV1HeaderRejected(t *testing.T) {
 	ctrl := NewController(ControllerConfig{})
 	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -365,27 +371,55 @@ func TestLegacyV1Compatibility(t *testing.T) {
 	}
 	defer ctrl.Close()
 
-	client, err := transport.Dial("tcp", addr.String())
+	v1 := func(w io.Writer) {
+		transport.WriteHeader(w, 1)
+		transport.WriteRecord(w, transport.KindUpload, transport.ToRecord(
+			core.Upload{MCName: "old-mc", EventID: 1, Start: 3, End: 9, Bits: 512, Final: true}))
+		transport.WriteRecord(w, transport.KindBye, struct{}{})
+	}
+	cConn, sConn := net.Pipe()
+	go v1(cConn)
+	err = ctrl.handleConn(sConn)
+	cConn.Close()
+	sConn.Close()
+	if !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("v1 header error = %v, want ErrVersion", err)
+	}
+
+	// Over TCP the controller drops the connection without answering:
+	// the peer reads EOF (or a reset, as its unread records were
+	// discarded), never a header and never a timeout.
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups := []core.Upload{
-		{MCName: "old-mc", EventID: 1, Start: 3, End: 9, Bits: 512, Final: true},
-		{MCName: "old-mc", EventID: 2, Start: 20, End: 24, Bits: 256, Final: true},
-	}
-	if err := client.SendAll(ups); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "legacy uploads", func() bool { return ctrl.LegacyReceived() == 2 })
-	if got := ctrl.Datacenter().Uploads("old-mc"); len(got) != 2 || got[0].Start != 3 {
-		t.Fatalf("legacy uploads wrong: %+v", got)
+	defer conn.Close()
+	v1(conn)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("v1 peer read %d bytes, err %v; want the connection closed", n, err)
 	}
 	if len(ctrl.ListNodes()) != 0 {
-		t.Fatal("legacy connection created a session")
+		t.Fatal("v1 connection created a session")
 	}
+	for _, st := range ctrl.ShardStats() {
+		if st.Nodes != 0 || st.Uploads != 0 {
+			t.Fatalf("v1 connection touched shard state: %+v", st)
+		}
+	}
+	if apps := ctrl.Datacenter().KnownApplications(); len(apps) != 0 {
+		t.Fatalf("v1 uploads accepted: %v", apps)
+	}
+}
+
+// nodeUploads reads one application's uploads from a node's ledger.
+func nodeUploads(t *testing.T, ctrl *Controller, node, app string) []core.Upload {
+	t.Helper()
+	var ups []core.Upload
+	if err := ctrl.WithNodeDatacenter(node, func(dc *core.Datacenter) { ups = dc.Uploads(app) }); err != nil {
+		t.Fatal(err)
+	}
+	return ups
 }
 
 // TestAgentSchedulerMatchesSerial runs the same two-stream workload
@@ -492,7 +526,7 @@ func TestAgentSchedulerMatchesSerial(t *testing.T) {
 		}
 		// Close the agent and wait for the session to drain: the
 		// goodbye trails every upload on the wire, so once the session
-		// is done its datacenter is quiescent and safe to read.
+		// is done the node's ledger holds all of them.
 		if err := agent.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -503,9 +537,9 @@ func TestAgentSchedulerMatchesSerial(t *testing.T) {
 		}
 		out := make(map[string][]core.Upload)
 		for _, name := range streams {
-			out[name] = sess.Datacenter().Uploads(name + "/m")
+			out[name] = nodeUploads(t, ctrl, node, name+"/m")
 		}
-		out["live"] = sess.Datacenter().Uploads("cam0/live")
+		out["live"] = nodeUploads(t, ctrl, node, "cam0/live")
 		return out
 	}
 
@@ -615,4 +649,162 @@ func TestHeartbeatCarriesLatencySummaries(t *testing.T) {
 	if sum.ExtractLat.Count != hb.Extract.Count || sum.ExtractLat.P95 != hb.Extract.P95 {
 		t.Fatalf("fleet rollup lost the summary: %+v vs %+v", sum.ExtractLat, hb.Extract)
 	}
+}
+
+// gatedConn holds back the return of every write that completes a
+// record of one kind until release reports true (or 10 s pass),
+// forcing an ordering the agent's reader goroutine would otherwise win
+// only sometimes.
+type gatedConn struct {
+	net.Conn
+	kind     uint8
+	release  func() bool
+	inRecord bool // the previous write was a frame header of kind
+	released int  // gated writes that saw release before returning
+	closed   atomic.Bool
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	gated := c.inRecord
+	// WriteRecord writes a 9-byte frame header, then the payload.
+	c.inRecord = len(p) == 9 && p[0] == c.kind
+	if err == nil && gated {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if c.release() {
+				c.released++
+				break
+			}
+		}
+	}
+	return n, err
+}
+
+func (c *gatedConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// gatedAgent connects an agent to ctrl through a gatedConn that holds
+// back writes of kind until release(agent, conn) reports true.
+func gatedAgent(t *testing.T, addr string, cfg AgentConfig, kind uint8, release func(*Agent, *gatedConn) bool) (*Agent, *gatedConn) {
+	t.Helper()
+	var agent *Agent
+	var gate *gatedConn
+	cfg.Dial = func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		gate = &gatedConn{Conn: conn, kind: kind}
+		gate.release = func() bool { return release(agent, gate) }
+		return gate, nil
+	}
+	agent, err := NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Connect("tcp", addr); err != nil {
+		t.Fatal(err)
+	}
+	return agent, gate
+}
+
+// TestUploadRTTWhenAckBeatsWrite is the regression test for the
+// upload-RTT race: when the ack is handled before the upload's write
+// returns, the round trip must still be observed, and no stale send
+// time may be left behind to inflate a later sample.
+func TestUploadRTTWhenAckBeatsWrite(t *testing.T) {
+	observer := obs.NewObserver(obs.Options{})
+	ctrl := NewController(ControllerConfig{Timeout: 10 * time.Second})
+	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+
+	agent, gate := gatedAgent(t, addr.String(), AgentConfig{
+		Node: "edge-rtt", Heartbeat: -1,
+		Edge: core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: testBase(), Obs: observer},
+	}, transport.KindUpload, func(a *Agent, _ *gatedConn) bool {
+		pending, _ := a.PendingUploads()
+		return pending == 0 // the ack was handled
+	})
+	defer agent.Close()
+
+	const n = 3
+	for i := 0; i < n; i++ {
+		up := core.Upload{MCName: "cam0/m", EventID: uint64(i), Start: 4 * i, End: 4*i + 4, Bits: 100, Final: true}
+		if err := agent.sendUploads([]core.Upload{up}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gate.released != n {
+		t.Fatalf("%d of %d upload writes returned after their ack; the test did not force the race", gate.released, n)
+	}
+	if got := observer.UploadRTT.Count(); got != n {
+		t.Fatalf("upload RTT observed %d times, want %d", got, n)
+	}
+	agent.pmu.Lock()
+	stale := len(agent.sentAt)
+	agent.pmu.Unlock()
+	if stale != 0 {
+		t.Fatalf("%d stale send times left after every upload was acked", stale)
+	}
+}
+
+// TestAgentCloseAfterControllerHangsUp checks a clean shutdown reports
+// no error when the controller answers the goodbye by hanging up and
+// the agent's reader goroutine closes the connection before Close
+// does.
+func TestAgentCloseAfterControllerHangsUp(t *testing.T) {
+	ctrl := NewController(ControllerConfig{Timeout: 10 * time.Second})
+	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+
+	agent, gate := gatedAgent(t, addr.String(), AgentConfig{
+		Node: "edge-bye", Heartbeat: -1,
+		Edge: core.Config{FrameWidth: 48, FrameHeight: 27, FPS: 15, Base: testBase()},
+	}, transport.KindBye, func(_ *Agent, c *gatedConn) bool { return c.closed.Load() })
+	waitFor(t, "session registered", func() bool { return len(ctrl.ListNodes()) == 1 })
+	if err := agent.Close(); err != nil {
+		t.Fatalf("clean close: %v", err)
+	}
+	if gate.released != 1 {
+		t.Fatal("the reader goroutine did not close the connection first; the test did not force the race")
+	}
+}
+
+// TestFirstHeartbeatGapFromHello checks a session's first heartbeat
+// already yields a heartbeat-gap observation, measured from its hello:
+// a shard whose sessions just arrived (a re-home, a reconnect storm)
+// must not report no control-latency signal at all.
+func TestFirstHeartbeatGapFromHello(t *testing.T) {
+	ctrl := NewController(ControllerConfig{Timeout: 10 * time.Second})
+	addr, err := ctrl.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := transport.WriteHeader(conn, transport.Version2); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteRecord(conn, transport.KindHello, Hello{Node: "edge-hb"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "session registered", func() bool { return len(ctrl.ListNodes()) == 1 })
+	if err := transport.WriteRecord(conn, transport.KindHeartbeat, Heartbeat{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a heartbeat-gap observation from the first heartbeat", func() bool {
+		return ctrl.ShardStats()[0].HeartbeatGap.Count == 1
+	})
 }

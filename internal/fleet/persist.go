@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,15 +51,23 @@ const (
 	// as the incarnation number that picks the winner when several logs
 	// hold copies of the same node.
 	wrecMoveIn uint8 = 8
-	// wrecFold records a retired shard's aggregate history (ledger
-	// totals, datacenter, legacy counter) folding into this shard, keyed
-	// by the retired log's directory identity so replay never counts a
-	// fold twice even if the retired directory survives a crash.
+	// wrecFold records a retired shard's ledger totals folding into
+	// this shard, keyed by the retired log's directory identity so
+	// replay never counts a fold twice even if the retired directory
+	// survives a crash.
 	wrecFold uint8 = 9
-	// wrecLegacyUpload records one upload received over a v1 pipe
-	// (shard 0 only; no node identity, no dedup).
+	// wrecLegacyUpload is reserved: it recorded one upload received
+	// over the retired protocol-v1 pipe. Recovery rejects it (see
+	// errLegacyHistory).
 	wrecLegacyUpload uint8 = 10
 )
+
+// errLegacyHistory fails recovery of a state directory holding upload
+// history from the retired protocol-v1 pipe: a kind-10 record, or a
+// snapshot or fold with a non-zero legacy count. Those uploads had no
+// node identity, so no node ledger can hold them; recovering without
+// them would drop acknowledged history silently.
+var errLegacyHistory = errors.New("holds legacy protocol-v1 upload history, which this build cannot recover")
 
 // canaryRemoved is the wrecCanaryVerdict outcome for a canary record
 // dropped entirely (the edge rejected the shadow deploy) — replay
@@ -123,18 +132,15 @@ type moveInRec struct {
 	Node nodeSnap
 }
 
-// foldRec is the wrecFold payload.
+// foldRec is the wrecFold payload: totals only, since the retired
+// shard's uploads moved with their nodes' ledgers.
 type foldRec struct {
-	FromID     uint64
+	FromID uint64
+	// Legacy is never written; a non-zero value read from an older
+	// state directory is protocol-v1 history (errLegacyHistory).
 	Legacy     int
 	Uploads    int
 	UploadBits int64
-	DC         []upSnap
-}
-
-// legacyUploadRec is the wrecLegacyUpload payload.
-type legacyUploadRec struct {
-	Rec transport.UploadRecord
 }
 
 // upSnap is core.Upload's durable form. Controller-side uploads carry
@@ -329,18 +335,20 @@ func nodeFromSnap(ns nodeSnap) *nodeState {
 	return st
 }
 
-// shardSnap is one shard's snapshot payload: the aggregate history
-// plus every node record, compacting the wal.
+// shardSnap is one shard's snapshot payload: the ledger totals plus
+// every node record (each holding its node's uploads), compacting the
+// wal.
 type shardSnap struct {
+	// Legacy is never written; a non-zero value read from an older
+	// snapshot is protocol-v1 history (errLegacyHistory).
 	Legacy     int
 	Uploads    int
 	UploadBits int64
-	DC         []upSnap
 	Nodes      []nodeSnap
 	// Folded lists the directory identities of retired shard logs whose
-	// aggregates this shard has absorbed: replay skips (and deletes) a
-	// directory in this list, so a crash between a fold and the retired
-	// directory's removal cannot double-count its history.
+	// ledger totals this shard has absorbed: replay skips (and deletes)
+	// a directory in this list, so a crash between a fold and the
+	// retired directory's removal cannot double-count its history.
 	Folded []uint64
 }
 
@@ -414,8 +422,7 @@ func (sh *shard) snapshotLocked() error {
 		return nil
 	}
 	snap := shardSnap{
-		Legacy: sh.legacy, Uploads: sh.uploads, UploadBits: sh.uploadBits,
-		DC:     dcSnap(sh.dc),
+		Uploads: sh.uploads, UploadBits: sh.uploadBits,
 		Folded: append([]uint64(nil), sh.folded...),
 	}
 	names := make([]string, 0, len(sh.nodes))
@@ -437,10 +444,8 @@ func (sh *shard) snapshotLocked() error {
 type replayState struct {
 	dirID   uint64
 	nodes   map[string]*nodeState
-	legacy  int
 	uploads int
 	bits    int64
-	dc      *core.Datacenter
 	folded  []uint64
 	records int
 }
@@ -450,15 +455,16 @@ func replayLog(l *walog.Log) (*replayState, error) {
 	rs := &replayState{
 		dirID: l.ID(),
 		nodes: make(map[string]*nodeState),
-		dc:    core.NewDatacenter(),
 	}
 	if snap := l.Snapshot(); snap != nil {
 		var ss shardSnap
 		if err := decodeRec(snap, &ss); err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		rs.legacy, rs.uploads, rs.bits = ss.Legacy, ss.Uploads, ss.UploadBits
-		rs.dc = dcFromSnap(ss.DC)
+		if ss.Legacy != 0 {
+			return nil, fmt.Errorf("snapshot: %w (%d uploads)", errLegacyHistory, ss.Legacy)
+		}
+		rs.uploads, rs.bits = ss.Uploads, ss.UploadBits
 		rs.folded = append(rs.folded, ss.Folded...)
 		for _, ns := range ss.Nodes {
 			rs.nodes[ns.Name] = nodeFromSnap(ns)
@@ -519,18 +525,10 @@ func (rs *replayState) apply(kind uint8, payload []byte) error {
 			st.lastSeq = r.Rec.Seq
 		}
 		st.dc.Receive(up)
-		tagged := up
-		tagged.MCName = r.Node + "/" + up.MCName
-		rs.dc.Receive(tagged)
 		rs.uploads++
 		rs.bits += up.Bits
 	case wrecLegacyUpload:
-		var r legacyUploadRec
-		if err := decodeRec(payload, &r); err != nil {
-			return err
-		}
-		rs.dc.Receive(r.Rec.ToUpload())
-		rs.legacy++
+		return errLegacyHistory
 	case wrecSeqReset:
 		var r seqResetRec
 		if err := decodeRec(payload, &r); err != nil {
@@ -610,12 +608,11 @@ func (rs *replayState) apply(kind uint8, payload []byte) error {
 				return nil
 			}
 		}
-		rs.legacy += r.Legacy
+		if r.Legacy != 0 {
+			return fmt.Errorf("fold: %w (%d uploads)", errLegacyHistory, r.Legacy)
+		}
 		rs.uploads += r.Uploads
 		rs.bits += r.UploadBits
-		for _, u := range r.DC {
-			rs.dc.Receive(u.toUpload())
-		}
 		rs.folded = append(rs.folded, r.FromID)
 	default:
 		return fmt.Errorf("unknown wal record kind %d", kind)
@@ -660,7 +657,7 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // bumped and a move-in record lands in the new owner's wal before any
 // snapshot is written, so a crash at any point leaves the newest
 // incarnation durable exactly once. Retired directories (index beyond
-// the configured shard count) have their aggregate history folded into
+// the configured shard count) have their ledger totals folded into
 // shard 0 via a fold record keyed by directory identity, then are
 // deleted; the identity list in shard 0's state makes the fold
 // idempotent if the deletion is lost.
@@ -720,17 +717,16 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 	}
 	dirs = kept
 
-	// Attach logs and aggregates: in-range directories map to their
-	// shard; out-of-range ones (a previous run had more shards) retire —
-	// aggregates fold into shard 0, recorded durably before deletion.
+	// Attach logs and totals: in-range directories map to their shard;
+	// out-of-range ones (a previous run had more shards) retire — totals
+	// fold into shard 0, recorded durably before deletion.
 	shard0 := c.shards[0]
 	var retired []recovered
 	for _, d := range dirs {
 		if d.idx < len(c.shards) {
 			sh := c.shards[d.idx]
 			sh.wal = d.log
-			sh.legacy, sh.uploads, sh.uploadBits = d.rs.legacy, d.rs.uploads, d.rs.bits
-			sh.dc = d.rs.dc
+			sh.uploads, sh.uploadBits = d.rs.uploads, d.rs.bits
 			if d.idx == 0 {
 				sh.folded = d.rs.folded
 			}
@@ -750,11 +746,7 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 		sh.wal = l
 	}
 	for _, d := range retired {
-		fold := foldRec{
-			FromID: d.rs.dirID,
-			Legacy: d.rs.legacy, Uploads: d.rs.uploads, UploadBits: d.rs.bits,
-			DC: dcSnap(d.rs.dc),
-		}
+		fold := foldRec{FromID: d.rs.dirID, Uploads: d.rs.uploads, UploadBits: d.rs.bits}
 		if ok := func() bool {
 			payload, err := encodeRec(fold)
 			if err == nil {
@@ -774,12 +766,8 @@ func (c *Controller) recoverState() (*RecoveryStats, error) {
 			d.log.Close()
 			continue
 		}
-		shard0.legacy += d.rs.legacy
 		shard0.uploads += d.rs.uploads
 		shard0.uploadBits += d.rs.bits
-		for _, app := range d.rs.dc.KnownApplications() {
-			shard0.dc.ReceiveAll(d.rs.dc.Uploads(app))
-		}
 		shard0.folded = append(shard0.folded, d.rs.dirID)
 		stats.FoldedDirs++
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/vision"
@@ -36,9 +35,9 @@ var ErrEvicted = errors.New("fleet: session replaced by reconnect")
 var ErrRedirected = errors.New("fleet: session re-homed to another shard")
 
 // Session is the controller's view of one connected edge node. Its
-// uploads land in a per-session core.Datacenter, attributing every
-// received segment to the node that sent it. All methods are safe for
-// concurrent use.
+// accepted uploads land in the node's ledger on the owning shard (see
+// Controller.WithNodeDatacenter); the session only counts them. All
+// methods are safe for concurrent use.
 type Session struct {
 	id      uint64
 	node    string
@@ -50,6 +49,9 @@ type Session struct {
 	// HeartbeatMiss budget.
 	liveness time.Duration
 	resumed  bool
+	// opened is when the session registered; the gap before its first
+	// heartbeat is measured from it.
+	opened time.Time
 
 	// wmu serializes record writes to the connection.
 	wmu sync.Mutex
@@ -63,12 +65,12 @@ type Session struct {
 	heartbeatAt time.Time
 	runErr      error
 
-	dc        *core.Datacenter
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// hbGap, when non-nil, observes the gap between consecutive
-	// heartbeats — the owning shard's heartbeat-latency histogram.
+	// hbGap, when non-nil, observes the gap before every heartbeat
+	// (the first measured from the hello) — the owning shard's
+	// heartbeat-latency histogram.
 	hbGap *obs.Histogram
 	// onHeartbeat, when non-nil, runs in the reader goroutine for
 	// every heartbeat after it is stored — the shard's drift-detector
@@ -87,7 +89,7 @@ func newSession(id uint64, hello Hello, conn net.Conn, timeout, liveness time.Du
 		resumed:     hello.Resume,
 		pending:     make(map[uint64]chan any),
 		fetchFrames: make(map[uint64][]*vision.Image),
-		dc:          core.NewDatacenter(),
+		opened:      time.Now(),
 		done:        make(chan struct{}),
 		hbGap:       hbGap,
 		onHeartbeat: onHeartbeat,
@@ -109,14 +111,9 @@ func (s *Session) Streams() []StreamInfo {
 	return append([]StreamInfo(nil), s.streams...)
 }
 
-// Datacenter returns the per-session receiver holding every upload
-// this edge sent during this session (deduplicated: retransmissions
-// of uploads another session already accepted are dropped). Upload MC
-// names use the node's "stream/mc" prefix convention. For accounting
-// that survives reconnects, use Controller.WithNodeDatacenter.
-func (s *Session) Datacenter() *core.Datacenter { return s.dc }
-
-// Received returns the number of uploads accepted from this edge.
+// Received returns the number of uploads accepted from this edge
+// during this session (deduplicated: retransmissions of uploads an
+// earlier session already accepted are not counted).
 func (s *Session) Received() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -330,12 +327,12 @@ func (s *Session) write(kind uint8, payload any) error {
 // connection's goroutine. It returns after a clean goodbye, a read
 // error, a liveness eviction, or the connection closing. onUpload
 // decides whether an upload is fresh (accepted → recorded in the
-// session datacenter) and whether to ack it. The two are distinct: a
-// dedup-dropped retransmission is refused but still acked so the edge
-// retires it, while an upload refused because this shard no longer
-// owns the node must NOT be acked — the edge keeps it buffered and
-// resends to the node's new owner, or exactly-once would silently
-// become at-most-once across a re-home.
+// node's ledger and counted by the session) and whether to ack it.
+// The two are distinct: a dedup-dropped retransmission is refused but
+// still acked so the edge retires it, while an upload refused because
+// this shard no longer owns the node must NOT be acked — the edge
+// keeps it buffered and resends to the node's new owner, or
+// exactly-once would silently become at-most-once across a re-home.
 func (s *Session) run(onUpload func(*Session, transport.UploadRecord) (accept, ack bool)) error {
 	err := s.readLoop(onUpload)
 	s.markDone(err)
@@ -397,7 +394,6 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			}
 			if accept {
 				s.mu.Lock()
-				s.dc.Receive(rec.ToUpload())
 				s.received++
 				s.mu.Unlock()
 			}
@@ -459,10 +455,13 @@ func (s *Session) readLoop(onUpload func(*Session, transport.UploadRecord) (acce
 			now := time.Now()
 			s.mu.Lock()
 			prev := s.heartbeatAt
+			if prev.IsZero() {
+				prev = s.opened
+			}
 			s.heartbeat = hb
 			s.heartbeatAt = now
 			s.mu.Unlock()
-			if s.hbGap != nil && !prev.IsZero() {
+			if s.hbGap != nil {
 				s.hbGap.Observe(now.Sub(prev))
 			}
 			if s.onHeartbeat != nil {

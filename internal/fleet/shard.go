@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -17,14 +15,14 @@ import (
 )
 
 // shard is one slice of the control plane: a self-contained session
-// registry, exactly-once upload ledger, deploy-generation intent
-// store, and datacenter receiver for the nodes the consistent-hash
-// ring places on it. Every per-node guarantee the monolithic
-// controller gave — upload dedup by sequence high-water mark, intent
-// reconciliation on resume, lifecycle counting — holds within a
-// shard, and a node only ever lives on one shard at a time (the
-// placement-epoch check in serveSession enforces it), so the
-// guarantees compose to fleet-global ones.
+// registry, exactly-once upload ledger, and deploy-generation intent
+// store for the nodes the consistent-hash ring places on it. Every
+// per-node guarantee the monolithic controller gave — upload dedup by
+// sequence high-water mark, intent reconciliation on resume,
+// lifecycle counting — holds within a shard, and a node only ever
+// lives on one shard at a time (the placement-epoch check in
+// serveSession enforces it), so the guarantees compose to
+// fleet-global ones.
 type shard struct {
 	id int
 	c  *Controller
@@ -32,10 +30,9 @@ type shard struct {
 	mu       sync.Mutex
 	sessions map[uint64]*Session
 	nodes    map[string]*nodeState
-	dc       *core.Datacenter // aggregate across this shard's sessions
-	legacy   int              // uploads received over v1 connections
 	// uploads and uploadBits are the shard ledger totals: every
 	// deduplicated upload accepted, across all of the shard's nodes.
+	// The uploads themselves live only in their node's ledger.
 	uploads    int
 	uploadBits int64
 	// redirects counts hellos and sessions this shard turned away
@@ -46,14 +43,15 @@ type shard struct {
 	// mutation appends here before it is acknowledged anywhere, and
 	// snapshots compact it. Guarded by mu.
 	wal *walog.Log
-	// folded lists retired shard stores whose aggregate history this
+	// folded lists retired shard stores whose ledger totals this
 	// shard has absorbed (fold records), by store identity — carried in
 	// snapshots so a crash between a fold and the retired directory's
 	// deletion cannot double-count it. Only shard 0 folds.
 	folded []uint64
 
-	// hbGap observes the gap between consecutive heartbeats of each
-	// session — the shard's control-latency signal.
+	// hbGap observes the gap before each heartbeat of each session,
+	// the first measured from the hello — the shard's control-latency
+	// signal.
 	hbGap *obs.Histogram
 }
 
@@ -63,7 +61,6 @@ func newShard(id int, c *Controller) *shard {
 		c:        c,
 		sessions: make(map[uint64]*Session),
 		nodes:    make(map[string]*nodeState),
-		dc:       core.NewDatacenter(),
 		hbGap:    &obs.Histogram{},
 	}
 }
@@ -92,44 +89,6 @@ func (sh *shard) liveSessionLocked(node string) *Session {
 		}
 	}
 	return best
-}
-
-// serveLegacy drains a v1 one-way upload pipe into the shard's
-// datacenter — backward compatibility with pre-fleet edges. Legacy
-// pipes carry no node identity, so the router parks them all on
-// shard 0 rather than hashing nothing.
-func (sh *shard) serveLegacy(conn net.Conn) error {
-	for {
-		kind, body, err := transport.ReadRecord(conn)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		switch kind {
-		case transport.KindUpload:
-			var rec transport.UploadRecord
-			if err := transport.DecodeRecord(body, &rec); err != nil {
-				return err
-			}
-			sh.mu.Lock()
-			// Persist before applying: legacy records replay by
-			// re-aggregating, so the record must never land after a
-			// snapshot that already counted it. Durability is still
-			// best-effort — v1 pipes have no acks, so a failed append
-			// cannot ask the peer to retransmit; the upload is kept in
-			// memory regardless.
-			sh.persist(wrecLegacyUpload, legacyUploadRec{Rec: rec})
-			sh.dc.Receive(rec.ToUpload())
-			sh.legacy++
-			sh.mu.Unlock()
-		case transport.KindBye:
-			return nil
-		default:
-			return fmt.Errorf("fleet: v1 peer sent record kind %d", kind)
-		}
-	}
 }
 
 // serveSession registers and runs one edge session whose hello the
@@ -269,8 +228,8 @@ func (sh *shard) serveSession(conn net.Conn, fwd Forward) error {
 // longer owns the node record (re-home raced the delivery), is
 // dropped WITHOUT an ack: no shard is accounting it here, so the edge
 // must keep it buffered and retransmit to the node's current owner.
-// Fresh uploads land in the node and shard datacenters and the shard
-// ledger totals.
+// A fresh upload lands in the node's ledger — its only copy on the
+// controller — and in the shard ledger totals.
 func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, ack bool) {
 	up := rec.ToUpload()
 	sh.mu.Lock()
@@ -310,12 +269,6 @@ func (sh *shard) acceptUpload(s *Session, rec transport.UploadRecord) (accept, a
 		st.lastSeq = rec.Seq
 	}
 	st.dc.Receive(up)
-	// The aggregate view prefixes the node name so two nodes running
-	// the same application don't collide; the per-node and per-session
-	// datacenters keep the edge's own naming.
-	tagged := up
-	tagged.MCName = s.node + "/" + up.MCName
-	sh.dc.Receive(tagged)
 	sh.uploads++
 	sh.uploadBits += up.Bits
 	sh.mu.Unlock()
@@ -420,14 +373,12 @@ type ShardStat struct {
 	// deduplicated upload the shard ever accepted.
 	Uploads    int
 	UploadBits int64
-	// Legacy counts uploads over v1 pipes (always on shard 0).
-	Legacy int
 	// Redirects counts hellos turned away under a stale placement
 	// epoch.
 	Redirects int
-	// HeartbeatGap digests the observed gap between consecutive
-	// heartbeats across the shard's sessions — its control-plane
-	// latency signal.
+	// HeartbeatGap digests the observed gap before each heartbeat
+	// across the shard's sessions (a session's first gap runs from its
+	// hello) — its control-plane latency signal.
 	HeartbeatGap obs.Summary
 }
 
@@ -441,7 +392,6 @@ func (sh *shard) stats() ShardStat {
 		Sessions:     len(sh.sessions),
 		Uploads:      sh.uploads,
 		UploadBits:   sh.uploadBits,
-		Legacy:       sh.legacy,
 		Redirects:    sh.redirects,
 		HeartbeatGap: sh.hbGap.Summary(),
 	}

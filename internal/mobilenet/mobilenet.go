@@ -9,7 +9,7 @@
 // feature extractor. Microclassifiers are trained on top of whatever
 // the base DNN emits, so the system-level properties under study
 // (computation sharing, layer-choice granularity trade-offs, marginal
-// cost) are preserved. See DESIGN.md §1.
+// cost) are preserved.
 package mobilenet
 
 import (
@@ -64,7 +64,7 @@ type Config struct {
 	// the published architecture. Defaults to off: with deterministic
 	// He-initialized weights the activations are already well-scaled,
 	// and inference-mode BatchNorm with fresh statistics is an
-	// identity. (See DESIGN.md.)
+	// identity.
 	BatchNorm bool
 	// Seed drives the deterministic weight initialization.
 	Seed int64

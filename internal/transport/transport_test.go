@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -20,35 +21,104 @@ func sampleUploads() []core.Upload {
 	}
 }
 
+// send is the sending end of an upload stream built from the framing
+// primitives: header, one KindUpload record per upload, goodbye.
+func send(w io.Writer, ups []core.Upload) error {
+	if err := WriteHeader(w, Version2); err != nil {
+		return err
+	}
+	for _, u := range ups {
+		if err := WriteRecord(w, KindUpload, ToRecord(u)); err != nil {
+			return err
+		}
+	}
+	return WriteRecord(w, KindBye, struct{}{})
+}
+
+// receive is the matching receiving end: it validates the header, then
+// accepts upload records into dc until goodbye or a clean end of
+// stream. Any framing, version, or decode error ends it.
+func receive(r io.Reader, dc *core.Datacenter) error {
+	if _, err := ReadHeader(r); err != nil {
+		return err
+	}
+	for {
+		kind, body, err := ReadRecord(r)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		switch kind {
+		case KindUpload:
+			var rec UploadRecord
+			if err := DecodeRecord(body, &rec); err != nil {
+				return err
+			}
+			dc.Receive(rec.ToUpload())
+		case KindBye:
+			return nil
+		default:
+			return fmt.Errorf("unexpected record kind %d", kind)
+		}
+	}
+}
+
+// receiveFrom runs receive on the server end of a pipe while write
+// feeds the client end, returning the receiver's error.
+func receiveFrom(write func(c net.Conn)) error {
+	cConn, sConn := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- receive(sConn, core.NewDatacenter()) }()
+	go func() {
+		write(cConn)
+		cConn.Close()
+	}()
+	return <-done
+}
+
 func TestRoundTripOverTCP(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
 	dc := core.NewDatacenter()
-	srv := NewServer(dc)
-	addr, err := srv.Listen("tcp", "127.0.0.1:0")
+	done := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			done <- err
+			return
+		}
+		defer conn.Close()
+		done <- receive(conn, dc)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	client, err := Dial("tcp", addr.String())
-	if err != nil {
+	if err := send(conn, sampleUploads()); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SendAll(sampleUploads()); err != nil {
+	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Received() < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.Received() != 3 {
-		t.Fatalf("received %d uploads, want 3", srv.Received())
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("receiver: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("receiver did not finish")
 	}
 
 	got := dc.Uploads("mc-a")
+	if n := len(got) + len(dc.Uploads("mc-b")); n != 3 {
+		t.Fatalf("received %d uploads, want 3", n)
+	}
 	if len(got) != 2 || got[0].Start != 10 || got[1].End != 25 || !got[1].Final {
 		t.Fatalf("mc-a uploads wrong: %+v", got)
 	}
@@ -63,23 +133,18 @@ func TestRoundTripOverTCP(t *testing.T) {
 func TestRoundTripOverPipe(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	dc := core.NewDatacenter()
-	srv := NewServer(dc)
 
 	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
+	go func() { done <- receive(sConn, dc) }()
 
-	client, err := NewClient(cConn)
-	if err != nil {
+	if err := send(cConn, sampleUploads()[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Send(sampleUploads()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
+	if err := cConn.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
+		t.Fatalf("receiver: %v", err)
 	}
 	if len(dc.Uploads("mc-a")) != 1 {
 		t.Fatal("upload not delivered")
@@ -87,60 +152,36 @@ func TestRoundTripOverPipe(t *testing.T) {
 }
 
 func TestServerRejectsBadMagic(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		cConn.Write([]byte{0, 1, 2, 3, 4, 5})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
+	err := receiveFrom(func(c net.Conn) { c.Write([]byte{0, 1, 2, 3, 4, 5}) })
+	if err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestServerRejectsOversizedRecord(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		// Valid handshake, then a record claiming 1 GB.
-		hdr := []byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x01}
-		cConn.Write(hdr)
-		cConn.Write([]byte{KindUpload, 0x40, 0x00, 0x00, 0x00})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("oversized record accepted")
+	err := receiveFrom(func(c net.Conn) {
+		// Valid handshake, then a record header claiming 1 GB.
+		WriteHeader(c, Version2)
+		c.Write([]byte{KindUpload, 0x40, 0x00, 0x00, 0x00, 0, 0, 0, 0})
+	})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("oversized record error = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestServerRejectsUnsupportedVersion(t *testing.T) {
 	// Version above MaxVersion fails in ReadHeader.
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		cConn.Write([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x63}) // version 99
-		cConn.Close()
-	}()
-	if err := <-done; !errors.Is(err, ErrVersion) {
+	err := receiveFrom(func(c net.Conn) {
+		c.Write([]byte{0xFF, 0x00, 0xFF, 0x05, 0x00, 0x63}) // version 99
+	})
+	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("version 99 error = %v, want ErrVersion", err)
 	}
 
-	// Version 2 is valid on the wire but not served by the legacy
-	// server (the fleet controller owns v2 sessions).
-	cConn2, sConn2 := net.Pipe()
-	go func() { done <- srv.ServeConn(sConn2) }()
-	go func() {
-		WriteHeader(cConn2, Version2)
-		cConn2.Close()
-	}()
-	if err := <-done; !errors.Is(err, ErrVersion) {
-		t.Fatalf("v2 on legacy server error = %v, want ErrVersion", err)
+	// Version 1 (the retired one-way pipe) is rejected the same way.
+	err = receiveFrom(func(c net.Conn) { WriteHeader(c, 1) })
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1 error = %v, want ErrVersion", err)
 	}
 }
 
@@ -155,49 +196,22 @@ func TestReadHeaderRejectsVersionZero(t *testing.T) {
 }
 
 func TestServerRejectsTruncatedStream(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
+	err := receiveFrom(func(c net.Conn) {
 		// Valid handshake, then a record whose 100-byte payload is
 		// cut off after 10 bytes.
-		WriteHeader(cConn, Version1)
-		cConn.Write([]byte{KindUpload, 0x00, 0x00, 0x00, 0x64})
-		cConn.Write(make([]byte, 10))
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
+		WriteHeader(c, Version2)
+		c.Write([]byte{KindUpload, 0x00, 0x00, 0x00, 0x64})
+		c.Write(make([]byte, 10))
+	})
+	if err == nil {
 		t.Fatal("truncated record accepted")
 	}
 }
 
 func TestServerRejectsTruncatedHandshake(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		cConn.Write([]byte{0xFF, 0x00})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
+	err := receiveFrom(func(c net.Conn) { c.Write([]byte{0xFF, 0x00}) })
+	if err == nil {
 		t.Fatal("truncated handshake accepted")
-	}
-}
-
-func TestServerRejectsUnknownKind(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	srv := NewServer(core.NewDatacenter())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(sConn) }()
-	go func() {
-		WriteHeader(cConn, Version1)
-		WriteRecord(cConn, 0x7F, struct{}{})
-		cConn.Close()
-	}()
-	if err := <-done; err == nil {
-		t.Fatal("unknown record kind accepted")
 	}
 }
 
