@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -113,6 +115,13 @@ func TestYCbCrGrayExact(t *testing.T) {
 	if p := vision.PSNR(im, back); p < 45 {
 		t.Fatalf("gray round-trip PSNR %v", p)
 	}
+}
+
+// toYCbCr converts an RGB image into freshly allocated planes.
+func toYCbCr(im *vision.Image) (y, cb, cr *plane) {
+	f := newYCbCr(im.W, im.H)
+	f.convert(im, make([]float32, 2*len(f.cb.pix)))
+	return f.y, f.cb, f.cr
 }
 
 func staticFrames(n, w, h int, seed int64) []*vision.Image {
@@ -251,5 +260,95 @@ func TestOddDimensionsHandled(t *testing.T) {
 	out := NewEncoder(Config{Width: 45, Height: 27, InitialQP: 20}).Encode(im)
 	if out.Recon.W != 45 || out.Recon.H != 27 {
 		t.Fatalf("recon dims %dx%d", out.Recon.W, out.Recon.H)
+	}
+}
+
+// encodeDigest hashes everything an encoder run exposes per frame:
+// coded size, frame type, QP and every reconstructed sample.
+func encodeDigest(outs []Frame) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, o := range outs {
+		put(uint64(o.Bits))
+		put(math.Float64bits(o.QP))
+		if o.Keyframe {
+			put(1)
+		}
+		for _, p := range o.Recon.Pix {
+			put(uint64(math.Float32bits(p)))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestEncoderOutputPinned pins bits, frame types, QPs and
+// reconstructions to digests recorded from the allocate-per-frame
+// encoder, so buffer reuse inside the encoder cannot change output:
+// a rate-controlled 96x54 segment, and odd 45x27 dims with a short
+// GOP and a Reset mid-stream.
+func TestEncoderOutputPinned(t *testing.T) {
+	run := func(cfg Config, frames []*vision.Image, resetAt int) uint64 {
+		enc := NewEncoder(cfg)
+		var outs []Frame
+		for i, f := range frames {
+			if i == resetAt {
+				enc.Reset()
+			}
+			outs = append(outs, enc.Encode(f))
+		}
+		return encodeDigest(outs)
+	}
+	segment := staticFrames(48, 96, 54, 21)
+	if got, want := run(Config{Width: 96, Height: 54, FPS: 15, TargetBitrate: 100_000}, segment, -1), uint64(0xb24979a6313036e3); got != want {
+		t.Errorf("96x54 segment digest %#x, want %#x", got, want)
+	}
+	odd := staticFrames(12, 45, 27, 22)
+	if got, want := run(Config{Width: 45, Height: 27, FPS: 15, TargetBitrate: 30_000, InitialQP: 20, GOP: 4}, odd, 7), uint64(0x86f0180d43afb91); got != want {
+		t.Errorf("45x27 GOP-4 digest %#x, want %#x", got, want)
+	}
+	bits, recons := EncodeSegment(Config{Width: 96, Height: 54, FPS: 15, TargetBitrate: 100_000}, segment)
+	enc := NewEncoder(Config{Width: 96, Height: 54, FPS: 15, TargetBitrate: 100_000})
+	var sum int64
+	for i, f := range segment {
+		out := enc.Encode(f)
+		sum += out.Bits
+		for j, p := range out.Recon.Pix {
+			if recons[i].Pix[j] != p {
+				t.Fatalf("EncodeSegment frame %d sample %d differs from Encoder.Encode", i, j)
+			}
+		}
+	}
+	if sum != bits {
+		t.Fatalf("EncodeSegment bits %d, Encoder.Encode sum %d", bits, sum)
+	}
+}
+
+// BenchmarkEncodeSegment codes one 48-frame 96x54 segment, the edge
+// pipeline's default chunk at benchmark scale.
+func BenchmarkEncodeSegment(b *testing.B) {
+	frames := staticFrames(48, 96, 54, 21)
+	cfg := Config{Width: 96, Height: 54, FPS: 15, TargetBitrate: 100_000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EncodeSegment(cfg, frames)
+	}
+}
+
+// TestEncodeAllocsPerFrame pins the encoder's steady state to the
+// returned reconstruction (image header and pixels): the YCbCr planes,
+// the chroma scratch and the reference are reused across frames.
+func TestEncodeAllocsPerFrame(t *testing.T) {
+	frames := staticFrames(2, 96, 54, 23)
+	enc := NewEncoder(Config{Width: 96, Height: 54, FPS: 15, TargetBitrate: 100_000})
+	i := 0
+	if n := testing.AllocsPerRun(20, func() {
+		enc.Encode(frames[i%2])
+		i++
+	}); n > 2 {
+		t.Fatalf("Encode allocates %v objects per frame, want at most 2", n)
 	}
 }

@@ -57,11 +57,18 @@ type Encoder struct {
 	cfg Config
 
 	qp        float64
-	prevY     *plane
-	prevCb    *plane
-	prevCr    *plane
 	frameIdx  int
 	totalBits int64
+
+	// Frame buffers, reused for every frame: src holds the input in
+	// YCbCr, sums is its chroma scratch, and recon ping-pongs between
+	// the reconstruction being coded (recon[cur]) and the reference it
+	// predicts from (recon[1-cur], valid when hasRef).
+	src    ycbcr
+	sums   []float32
+	recon  [2]ycbcr
+	cur    int
+	hasRef bool
 }
 
 // NewEncoder constructs an encoder for the given configuration.
@@ -70,34 +77,36 @@ func NewEncoder(cfg Config) *Encoder {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic(fmt.Sprintf("codec: bad dims %dx%d", cfg.Width, cfg.Height))
 	}
-	return &Encoder{cfg: cfg, qp: cfg.InitialQP}
+	e := &Encoder{cfg: cfg, qp: cfg.InitialQP, src: newYCbCr(cfg.Width, cfg.Height)}
+	e.sums = make([]float32, 2*len(e.src.cb.pix))
+	e.recon[0] = newYCbCr(cfg.Width, cfg.Height)
+	e.recon[1] = newYCbCr(cfg.Width, cfg.Height)
+	return e
 }
 
 // Encode compresses one frame and returns its coded size and
-// reconstruction.
+// reconstruction. The reconstruction is freshly allocated; the
+// encoder's own buffers never escape.
 func (e *Encoder) Encode(im *vision.Image) Frame {
 	if im.W != e.cfg.Width || im.H != e.cfg.Height {
 		panic(fmt.Sprintf("codec: frame %dx%d does not match encoder %dx%d", im.W, im.H, e.cfg.Width, e.cfg.Height))
 	}
-	intra := e.frameIdx%e.cfg.GOP == 0 || e.prevY == nil
-	y, cb, cr := toYCbCr(im)
-	ry := newPlane(y.w, y.h)
-	rcb := newPlane(cb.w, cb.h)
-	rcr := newPlane(cr.w, cr.h)
-
-	var predY, predCb, predCr *plane
+	intra := e.frameIdx%e.cfg.GOP == 0 || !e.hasRef
+	e.src.convert(im, e.sums)
+	rec := e.recon[e.cur]
+	var pred ycbcr
 	if !intra {
-		predY, predCb, predCr = e.prevY, e.prevCb, e.prevCr
+		pred = e.recon[1-e.cur]
 	}
-	bits := codePlane(y, predY, ry, e.qp)
-	bits += codePlane(cb, predCb, rcb, e.qp)
-	bits += codePlane(cr, predCr, rcr, e.qp)
+	bits := codePlane(e.src.y, pred.y, rec.y, e.qp)
+	bits += codePlane(e.src.cb, pred.cb, rec.cb, e.qp)
+	bits += codePlane(e.src.cr, pred.cr, rec.cr, e.qp)
 	bits += 64 // frame header
 
-	e.prevY, e.prevCb, e.prevCr = ry, rcb, rcr
+	e.cur, e.hasRef = 1-e.cur, true
 	e.frameIdx++
 	e.totalBits += bits
-	out := Frame{Bits: bits, Recon: fromYCbCr(ry, rcb, rcr), Keyframe: intra, QP: e.qp}
+	out := Frame{Bits: bits, Recon: fromYCbCr(rec.y, rec.cb, rec.cr), Keyframe: intra, QP: e.qp}
 	e.adaptQP(bits, intra)
 	return out
 }
@@ -144,7 +153,7 @@ func (e *Encoder) AverageBitrate() float64 {
 // Reset clears temporal state (the next frame becomes a keyframe) but
 // keeps the adapted QP, modelling the start of a new coded segment.
 func (e *Encoder) Reset() {
-	e.prevY, e.prevCb, e.prevCr = nil, nil, nil
+	e.hasRef = false
 	e.frameIdx = 0
 }
 

@@ -31,16 +31,25 @@ func (p *plane) set(x, y int, v float32) {
 	p.pix[y*p.w+x] = v
 }
 
-// toYCbCr converts an RGB image ([0,1]) into full-resolution Y and
-// half-resolution Cb, Cr planes scaled to [0,255] (BT.601).
-func toYCbCr(im *vision.Image) (y, cb, cr *plane) {
-	y = newPlane(im.W, im.H)
-	cw, ch := (im.W+1)/2, (im.H+1)/2
-	cb = newPlane(cw, ch)
-	cr = newPlane(cw, ch)
-	cbSum := make([]float32, cw*ch)
-	crSum := make([]float32, cw*ch)
-	cnt := make([]float32, cw*ch)
+// ycbcr is one frame in the codec's colour space: full-resolution Y
+// and half-resolution Cb, Cr planes, all scaled to [0,255].
+type ycbcr struct {
+	y, cb, cr *plane
+}
+
+func newYCbCr(w, h int) ycbcr {
+	cw, ch := (w+1)/2, (h+1)/2
+	return ycbcr{y: newPlane(w, h), cb: newPlane(cw, ch), cr: newPlane(cw, ch)}
+}
+
+// convert overwrites f with im, an RGB image in [0,1] (BT.601),
+// averaging each 2x2 block for chroma. sums is scratch of twice the
+// chroma plane size.
+func (f ycbcr) convert(im *vision.Image, sums []float32) {
+	y, cb, cr := f.y, f.cb, f.cr
+	cw := cb.w
+	cbSum, crSum := sums[:len(cb.pix)], sums[len(cb.pix):]
+	clear(sums)
 	for yy := 0; yy < im.H; yy++ {
 		for xx := 0; xx < im.W; xx++ {
 			r, g, b := im.At(xx, yy)
@@ -49,16 +58,15 @@ func toYCbCr(im *vision.Image) (y, cb, cr *plane) {
 			ci := (yy/2)*cw + xx/2
 			cbSum[ci] += ((b-lum)*0.564 + 0.5) * 255
 			crSum[ci] += ((r-lum)*0.713 + 0.5) * 255
-			cnt[ci]++
 		}
 	}
 	for i := range cbSum {
-		if cnt[i] > 0 {
-			cb.pix[i] = cbSum[i] / cnt[i]
-			cr.pix[i] = crSum[i] / cnt[i]
-		}
+		// Samples per chroma cell: 4, fewer on an odd right or bottom
+		// edge.
+		n := float32(min(2, im.W-2*(i%cw)) * min(2, im.H-2*(i/cw)))
+		cb.pix[i] = cbSum[i] / n
+		cr.pix[i] = crSum[i] / n
 	}
-	return y, cb, cr
 }
 
 // fromYCbCr reconstructs an RGB image from Y and subsampled Cb, Cr

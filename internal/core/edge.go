@@ -169,7 +169,10 @@ type Stats struct {
 	BaseDNNTime time.Duration
 	MCTime      time.Duration
 	// EncodeTime is spent re-encoding video for the uplink: matched
-	// event segments and demand-fetched archive ranges.
+	// event segments and demand-fetched archive ranges. A segment's
+	// time is the sum of its per-frame coding times, most of them
+	// spent on the encode lane concurrently with later frames; it is
+	// added when the segment closes.
 	EncodeTime time.Duration
 	// ArchiveTime is the ingest path's codec-model encode of the
 	// continuous local archive (zero when ArchiveToDisk is off).
@@ -227,10 +230,108 @@ type deployedMC struct {
 	// stream frame indices; non-zero for live mid-stream deployments.
 	offset int
 
-	// open event segment assembly.
+	// open event segment assembly. seg is the open segment's
+	// streaming encode, nil until its first frame is handed over.
 	openID    uint64
 	segStart  int
 	segFrames int
+	seg       *segEncode
+}
+
+// segEncode is one open segment's streaming encode. The owner hands
+// the segment's frames to the encode lane in order (sent); the lane
+// codes them (done), summing bits, reconstructions and coding time.
+// closeSegment reads the sums once done has caught up with sent.
+type segEncode struct {
+	enc  *codec.Encoder
+	keep bool // collect reconstructions (Config.KeepReconstructions)
+	sent int  // frames handed over; owner goroutine only
+	done int  // frames coded; guarded by encodeLane.mu
+
+	// Written by whichever goroutine codes the frame: the lane for
+	// handed-over frames, the owner (after wait) for the rest.
+	bits   int64
+	recons []*vision.Image
+	first  time.Time // when coding of the first frame began
+	took   time.Duration
+}
+
+// encode codes the segment's next frame.
+func (s *segEncode) encode(img *vision.Image) {
+	t0 := time.Now()
+	out := s.enc.Encode(img)
+	if s.first.IsZero() {
+		s.first = t0
+	}
+	s.took += time.Since(t0)
+	s.bits += out.Bits
+	if s.keep {
+		s.recons = append(s.recons, out.Recon)
+	}
+}
+
+// encodeLane codes handed-over segment frames on a background
+// goroutine, so a segment's encoding overlaps the base DNN and MCs of
+// the frames that follow. The goroutine runs only while jobs are
+// queued: submit starts it, and it exits when it finds the queue
+// empty, so none outlives its work or an abandoned node. One FIFO
+// keeps each segment's frames in order, which its encoder needs.
+type encodeLane struct {
+	mu      sync.Mutex
+	coded   sync.Cond // broadcast after every coded frame
+	jobs    []laneJob // queued jobs are jobs[head:]
+	head    int
+	running bool
+}
+
+type laneJob struct {
+	seg *segEncode
+	img *vision.Image
+}
+
+func (l *encodeLane) submit(seg *segEncode, img *vision.Image) {
+	l.mu.Lock()
+	if l.head > 0 && len(l.jobs) == cap(l.jobs) {
+		// Reclaim the drained prefix before append would grow the
+		// array: with segments of several MCs overlapping, the queue
+		// need never run empty.
+		n := copy(l.jobs, l.jobs[l.head:])
+		clear(l.jobs[n:])
+		l.jobs, l.head = l.jobs[:n], 0
+	}
+	l.jobs = append(l.jobs, laneJob{seg, img})
+	start := !l.running
+	l.running = true
+	l.mu.Unlock()
+	if start {
+		go l.run()
+	}
+}
+
+func (l *encodeLane) run() {
+	l.mu.Lock()
+	for l.head < len(l.jobs) {
+		j := l.jobs[l.head]
+		l.jobs[l.head] = laneJob{}
+		l.head++
+		l.mu.Unlock()
+		j.seg.encode(j.img)
+		l.mu.Lock()
+		j.seg.done++
+		l.coded.Broadcast()
+	}
+	l.jobs, l.head = l.jobs[:0], 0
+	l.running = false
+	l.mu.Unlock()
+}
+
+// wait blocks until every frame handed over for seg has been coded.
+func (l *encodeLane) wait(seg *segEncode) {
+	l.mu.Lock()
+	for seg.done < seg.sent {
+		l.coded.Wait()
+	}
+	l.mu.Unlock()
 }
 
 // shadowMC is a canary candidate evaluated in the shadow of the live
@@ -247,10 +348,12 @@ type shadowMC struct {
 	// slot, echoed in heartbeats so the controller can tell a fresh
 	// sketch from the previous install's even when the counts line up.
 	epoch uint64
-	// offset maps the shadow's local frame counter to stream indices,
-	// carried into the live deployment on promotion so windowed tails
-	// keep correct stream coordinates.
+	// offset maps the shadow's local frame counter to stream indices.
 	offset int
+	// scored counts the classifications the shadow has consumed, so
+	// its MC's next one is for local frame scored. A promoted
+	// deployment's fresh smoother starts counting there.
+	scored int
 	// cls holds phase 2a's result for phase 2b. MC.Push returns a
 	// slice that is reused by that MC's next Push/Flush, so the
 	// shadow fan-out copies the classifications out instead of
@@ -290,6 +393,9 @@ type EdgeNode struct {
 	uplink  *TokenBucket
 	archive *codec.Encoder
 	store   FrameArchive // persistent archive; nil = accounting-only
+
+	// lane codes open segments' frames off the owner goroutine.
+	lane encodeLane
 
 	// frames is the retained-originals ring: frame f lives at
 	// frames[f%len(frames)], sized RetainFrames+1 so the window
@@ -339,6 +445,7 @@ func NewEdgeNode(cfg Config) (*EdgeNode, error) {
 		obs:    cfg.Obs,
 	}
 	e.stats.MCTimeBy = make(map[string]time.Duration)
+	e.lane.coded.L = &e.lane.mu
 	if e.obs != nil {
 		e.sid = e.obs.Trace.StreamID(cfg.StreamLabel)
 	}
@@ -542,7 +649,7 @@ func (e *EdgeNode) PromoteShadow(name string) ([]Upload, error) {
 			smoother:  event.NewSmoother(e.cfg.SmoothN, e.cfg.SmoothK),
 			detector:  event.NewDetector(),
 			sketch:    s.sketch,
-			offset:    s.offset,
+			offset:    s.offset + s.scored,
 		}
 		e.shadows = append(e.shadows[:si], e.shadows[si+1:]...)
 		e.mu.Unlock()
@@ -786,12 +893,16 @@ func (e *EdgeNode) Meta(frame int) FrameMeta {
 }
 
 // ProcessFrame pushes the next frame of the stream through the
-// pipeline and returns any uploads that became ready. Execution is
-// phased, not pipelined: the base DNN runs to completion, then every
-// MC consumes the shared feature maps (§4.4). With Config.MCWorkers
-// > 1 the MC classifications run concurrently across a goroutine
-// fan-out; event assembly still runs serially in deployment order, so
-// results are identical to the serial schedule.
+// pipeline and returns any uploads that became ready. The base DNN
+// runs to completion, then every MC consumes the shared feature maps
+// (§4.4). With Config.MCWorkers > 1 the MC classifications run
+// concurrently across a goroutine fan-out; event assembly still runs
+// serially in deployment order, so results are identical to the
+// serial schedule. Segment encoding is pipelined: each frame decided
+// positive is handed to the node's encode lane, which codes it while
+// later frames run the base DNN and MCs. The call that closes a
+// segment waits only for that segment's frames still on the lane and
+// returns its upload, byte-identical to coding the segment at once.
 func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 	if len(e.mcs) == 0 {
 		return nil, fmt.Errorf("core: no microclassifiers deployed")
@@ -889,10 +1000,11 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 	}
 	e.mu.Unlock()
 
-	// Phase 2b: smoothing, event assembly, and segment encoding run
+	// Phase 2b: smoothing, event assembly, and segment closes run
 	// serially in deployment order — they share the uplink and the
 	// frame metadata, and their ordering defines event IDs and bit
-	// accounting.
+	// accounting. Only the coding of segment frames leaves this
+	// goroutine (see encodeLane).
 	var uploads []Upload
 	for i, d := range e.mcs {
 		for _, c := range e.steps[i].cls {
@@ -910,6 +1022,7 @@ func (e *EdgeNode) ProcessFrame(img *vision.Image) ([]Upload, error) {
 		for _, c := range s.cls {
 			s.sketch.Observe(float64(c.Prob), c.Prob >= s.threshold)
 		}
+		s.scored += len(s.cls)
 	}
 	e.evict()
 	if o != nil {
@@ -933,9 +1046,11 @@ func (e *EdgeNode) Flush() ([]Upload, error) {
 	// Windowed shadow candidates have classification tails too; drain
 	// them into their sketches so the canary window sees every frame.
 	for _, s := range e.shadows {
-		for _, c := range s.mc.Flush() {
+		cls := s.mc.Flush()
+		for _, c := range cls {
 			s.sketch.Observe(float64(c.Prob), c.Prob >= s.threshold)
 		}
+		s.scored += len(cls)
 	}
 	return uploads, nil
 }
@@ -1013,61 +1128,92 @@ func (e *EdgeNode) decide(d *deployedMC, dec event.Decision) ([]Upload, error) {
 	m[d.mc.Spec().Name] = id
 	e.mu.Unlock()
 	d.segFrames++
-	if d.segFrames >= e.cfg.MaxChunkFrames {
-		up, err := e.closeSegment(d, frame+1, false)
-		if err != nil {
-			return nil, err
-		}
-		uploads = append(uploads, up)
-		// Continue the same event in a fresh chunk.
-		d.openID = id
-		d.segStart = frame + 1
-		d.segFrames = 0
+	if d.segFrames < e.cfg.MaxChunkFrames {
+		e.handOver(d, frame)
+		return uploads, nil
 	}
+	// The chunk's last frame is coded inline by closeSegment: handing
+	// it over would only make this goroutine wait for it.
+	up, err := e.closeSegment(d, frame+1, false)
+	if err != nil {
+		return nil, err
+	}
+	uploads = append(uploads, up)
+	// Continue the same event in a fresh chunk.
+	d.openID = id
+	d.segStart = frame + 1
+	d.segFrames = 0
 	return uploads, nil
 }
 
-// closeSegment re-encodes the open segment [segStart, end) at the
-// upload bitrate and sends it over the uplink.
+// handOver queues frame, just decided positive, on the encode lane
+// for d's open segment. Frames are taken only in order: one already
+// evicted stops the hand-over, and closeSegment reports the eviction.
+func (e *EdgeNode) handOver(d *deployedMC, frame int) {
+	if d.seg == nil {
+		d.seg = e.newSegEncode()
+	}
+	img := e.retained(frame)
+	if img == nil || frame != d.segStart+d.seg.sent {
+		return
+	}
+	d.seg.sent++
+	e.lane.submit(d.seg, img)
+}
+
+func (e *EdgeNode) newSegEncode() *segEncode {
+	return &segEncode{
+		enc: codec.NewEncoder(codec.Config{
+			Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
+			TargetBitrate: e.cfg.UploadBitrate,
+		}),
+		keep: e.cfg.KeepReconstructions,
+	}
+}
+
+// closeSegment finishes coding the open segment [segStart, end) at the
+// upload bitrate and sends it over the uplink. It waits for the
+// segment's frames still on the encode lane, then codes inline the
+// frames never handed over: a chunk's last frame, and the tail that
+// Flush, Undeploy and PromoteShadow close past the last decided frame.
 func (e *EdgeNode) closeSegment(d *deployedMC, end int, final bool) (Upload, error) {
-	start := d.segStart
-	id := d.openID
-	d.openID = 0
+	start, id, seg := d.segStart, d.openID, d.seg
+	d.openID, d.seg = 0, nil
+	if seg != nil {
+		e.lane.wait(seg)
+	}
 	if end <= start {
 		return Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: start, Final: final}, nil
 	}
-	frames := make([]*vision.Image, 0, end-start)
 	for f := start; f < end; f++ {
-		img := e.retained(f)
-		if img == nil {
+		if e.retained(f) == nil {
 			return Upload{}, fmt.Errorf("core: frame %d evicted before upload (increase RetainFrames)", f)
 		}
-		frames = append(frames, img)
 	}
-	t0 := time.Now()
-	bits, recons := codec.EncodeSegment(codec.Config{
-		Width: e.cfg.FrameWidth, Height: e.cfg.FrameHeight, FPS: e.cfg.FPS,
-		TargetBitrate: e.cfg.UploadBitrate,
-	}, frames)
-	encodeTime := time.Since(t0)
+	if seg == nil {
+		seg = e.newSegEncode()
+	}
+	for f := start + seg.sent; f < end; f++ {
+		seg.encode(e.retained(f))
+	}
 	if e.obs != nil {
-		e.obs.Encode.Observe(encodeTime)
-		e.obs.Trace.Record(obs.StageEncode, e.sid, int64(start), t0, encodeTime)
+		// One span per segment: it starts where coding began and lasts
+		// the summed coding time, not the wall time the lane spread it
+		// over.
+		e.obs.Encode.Observe(seg.took)
+		e.obs.Trace.Record(obs.StageEncode, e.sid, int64(start), seg.first, seg.took)
 	}
 
-	up := Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: end, Bits: bits, Final: final}
-	if e.cfg.KeepReconstructions {
-		up.Frames = recons
-	}
+	up := Upload{MCName: d.mc.Spec().Name, EventID: id, Start: start, End: end, Bits: seg.bits, Final: final, Frames: seg.recons}
 	if e.uplink != nil {
-		up.Delay = e.uplink.Send(bits)
+		up.Delay = e.uplink.Send(up.Bits)
 	}
 	e.mu.Lock()
-	e.stats.EncodeTime += encodeTime
+	e.stats.EncodeTime += seg.took
 	if up.Delay > e.stats.MaxUplinkDelay {
 		e.stats.MaxUplinkDelay = up.Delay
 	}
-	e.stats.UploadedBits += bits
+	e.stats.UploadedBits += up.Bits
 	e.stats.UploadedFrames += end - start
 	e.stats.Uploads++
 	e.mu.Unlock()

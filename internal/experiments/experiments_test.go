@@ -151,12 +151,16 @@ func TestBreakdownSmoke(t *testing.T) {
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	// MC time grows with k; base DNN time stays roughly flat.
+	// MC time grows with k; the base DNN runs once per frame whatever
+	// k is. A count, not wall-clock base time: 3 frames of timing
+	// under a loaded test run say nothing reliable.
 	if res.Points[1].MCSeconds <= res.Points[0].MCSeconds {
 		t.Fatal("MC time did not grow with k")
 	}
-	if res.Points[1].BaseSeconds > res.Points[0].BaseSeconds*3 {
-		t.Fatal("base DNN time should not grow with k")
+	for _, p := range res.Points {
+		if p.ExtractsPerFrame != 1 {
+			t.Fatalf("k=%d: %v base-DNN passes per frame, want 1", p.K, p.ExtractsPerFrame)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/filter"
+	"repro/internal/obs"
 	"repro/internal/vision"
 )
 
@@ -16,6 +17,9 @@ type BreakdownPoint struct {
 	K           int
 	BaseSeconds float64
 	MCSeconds   float64
+	// ExtractsPerFrame counts base-DNN passes per frame: 1 at every k
+	// when all MCs share one extraction.
+	ExtractsPerFrame float64
 }
 
 // BreakdownResult holds one architecture's Figure 6 panel.
@@ -47,9 +51,10 @@ func Breakdown(w io.Writer, o Options, arch filter.Arch, ks []int, frames int) (
 	res := &BreakdownResult{Arch: arch}
 
 	for _, k := range ks {
+		ob := obs.NewObserver(obs.Options{})
 		edge, err := core.NewEdgeNode(core.Config{
 			FrameWidth: d.Cfg.Width, FrameHeight: d.Cfg.Height, FPS: d.Cfg.FPS,
-			Base: base, UploadBitrate: 100_000, MCWorkers: o.mcWorkers(),
+			Base: base, UploadBitrate: 100_000, MCWorkers: o.mcWorkers(), Obs: ob,
 		})
 		if err != nil {
 			return nil, err
@@ -72,9 +77,10 @@ func Breakdown(w io.Writer, o Options, arch filter.Arch, ks []int, frames int) (
 		}
 		st := edge.Stats()
 		res.Points = append(res.Points, BreakdownPoint{
-			K:           k,
-			BaseSeconds: st.BaseDNNTime.Seconds() / float64(frames),
-			MCSeconds:   st.MCTime.Seconds() / float64(frames),
+			K:                k,
+			BaseSeconds:      st.BaseDNNTime.Seconds() / float64(frames),
+			MCSeconds:        st.MCTime.Seconds() / float64(frames),
+			ExtractsPerFrame: float64(ob.Extract.Count()) / float64(frames),
 		})
 	}
 

@@ -375,6 +375,21 @@ func TestShardedChaosSoak(t *testing.T) {
 	}
 	sketchesBefore := ctrl.DriftReports()
 	evBefore, rcBefore := ctrl.Lifecycle()
+	canaryEpoch := func(node string) uint64 {
+		var epoch uint64
+		ctrl.onNode(node, false, func(_ *shard, st *nodeState) {
+			if cs := st.canary["cam0/mc-soak"]; cs != nil {
+				epoch = cs.epoch
+			}
+		})
+		return epoch
+	}
+	canaryShard := make(map[int]int)
+	epochBefore := make(map[int]uint64)
+	for _, i := range canaryIdx {
+		canaryShard[i] = ctrl.ShardOf(agents[i].name)
+		epochBefore[i] = canaryEpoch(agents[i].name)
+	}
 	moved, err := ctrl.Resize(shardedSoakResizeTo)
 	if err != nil {
 		t.Fatal(err)
@@ -437,6 +452,24 @@ func TestShardedChaosSoak(t *testing.T) {
 	// state: same candidates, same window anchors, still evaluating.
 	if canariesAfter := stripCanary(ctrl.CanaryReports()); !reflect.DeepEqual(canariesAfter, canariesBefore) {
 		t.Fatalf("re-shard changed the canary reports:\nbefore %+v\nafter  %+v", canariesBefore, canariesAfter)
+	}
+
+	// A re-homed session resumes with a hello, and reconciliation
+	// re-pushes its undecided canary with a bumped epoch, which
+	// restarts the shadow's sketch. Let those reinstalls land before
+	// the phase-4 feed: frames fed ahead of a late reinstall are scored
+	// into a sketch the reinstall throws away.
+	for _, i := range canaryIdx {
+		c := agents[i]
+		rehomed := ctrl.ShardOf(c.name) != canaryShard[i]
+		var want, got uint64
+		waitSoak(t, c.name+" canary shadow at the controller's epoch", func() bool {
+			want = canaryEpoch(c.name)
+			got = c.edge.ShadowEpochs()["mc-soak"]
+			return got == want && (!rehomed || want > epochBefore[i])
+		}, func() string {
+			return fmt.Sprintf("edge epoch %d, controller epoch %d, re-homed %v", got, want, rehomed)
+		})
 	}
 
 	// ---- Phase 4: final feed on the resized fleet, then converge. --

@@ -33,6 +33,9 @@ type Observer struct {
 
 	// Per-stage latency histograms, all in ns. Frame is the whole
 	// ProcessFrame envelope; QueueWait is scheduler mailbox time;
+	// Encode is one uplink segment's coding time summed over its
+	// frames, observed when the segment closes (most frames are coded
+	// on the node's encode lane, outside Frame);
 	// ArchiveEncode is the ingest path's codec-model encode;
 	// ArchiveAppend is the persistent store's disk write; Upload is
 	// the wire send of one upload record; UploadRTT is send-to-ack.
